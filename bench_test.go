@@ -192,3 +192,18 @@ func BenchmarkSolveGreedy_n50000(b *testing.B) { benchSolve(b, "SolveGreedy_n500
 func BenchmarkSolveLuby_n50000(b *testing.B)   { benchSolve(b, "SolveLuby_n50000") }
 
 func BenchmarkVerifyMIS_n10000(b *testing.B) { benchdefs.RunVerify(b) }
+
+// Decode rung: binary body → hypergraph plus digest, the per-request
+// work in front of the cache lookup.
+func benchDecode(b *testing.B, name string) {
+	for _, c := range benchdefs.Decode() {
+		if c.Name == name {
+			benchdefs.RunDecode(b, c)
+			return
+		}
+	}
+	b.Fatalf("benchdefs decode case %s not declared", name)
+}
+
+func BenchmarkDecodeBinary_n1000(b *testing.B) { benchDecode(b, "DecodeBinary_n1000") }
+func BenchmarkDecodeBinary_Heavy(b *testing.B) { benchDecode(b, "DecodeBinary_Heavy") }

@@ -215,6 +215,13 @@ func main() {
 		}})
 	}
 	benches = append(benches, namedBench{"BenchmarkVerifyMIS_n10000", benchdefs.RunVerify})
+	// Decode rung: the body → hypergraph + digest work every request
+	// pays before the cache lookup.
+	for _, c := range benchdefs.Decode() {
+		benches = append(benches, namedBench{"Benchmark" + c.Name, func(b *testing.B) {
+			benchdefs.RunDecode(b, c)
+		}})
+	}
 
 	if *match != "" {
 		re, err := regexp.Compile(*match)

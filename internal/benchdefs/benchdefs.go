@@ -12,7 +12,9 @@
 // solve, one request per solve versus NDJSON /v1/batch requests of
 // HTTPBatchSize items). RunServiceHTTPColor and
 // RunServiceHTTPTransversal measure the sibling workload endpoints the
-// same way — one uncached POST round trip per iteration.
+// same way — one uncached POST round trip per iteration. RunDecode
+// measures the decode rung below them: binary body to hypergraph plus
+// its digest.
 package benchdefs
 
 import (
@@ -73,6 +75,45 @@ func Find(name string) (Case, bool) {
 		}
 	}
 	return Case{}, false
+}
+
+// DecodeCase is one decode-rung benchmark: the Benchmark function's
+// name suffix and the instance whose binary body is decoded.
+type DecodeCase struct {
+	Name string
+	New  func() *hypermis.Hypergraph
+}
+
+// Decode returns the decode-rung corpus: the n=1000 graph the Luby rows
+// solve, and a heavy mixed instance shaped like large-solve traffic.
+func Decode() []DecodeCase {
+	return []DecodeCase{
+		{"DecodeBinary_n1000", func() *hypermis.Hypergraph { return hypermis.RandomGraph(4, 1000, 3000) }},
+		{"DecodeBinary_Heavy", func() *hypermis.Hypergraph { return hypermis.RandomMixed(10, 20000, 40000, 2, 12) }},
+	}
+}
+
+// RunDecode measures what a request pays to turn a binary body into a
+// cache key's ingredients: hgio.ReadBinary plus hgio.Digest.
+func RunDecode(b *testing.B, c DecodeCase) {
+	var buf bytes.Buffer
+	if err := hgio.WriteBinary(&buf, c.New()); err != nil {
+		b.Fatal(err)
+	}
+	body := buf.Bytes()
+	rd := bytes.NewReader(body)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(body)
+		h, err := hgio.ReadBinary(rd)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(hgio.Digest(h)) != 64 {
+			b.Fatal("malformed digest")
+		}
+	}
 }
 
 // VerifyInstance returns the VerifyMIS benchmark workload: a mixed

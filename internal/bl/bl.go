@@ -149,8 +149,11 @@ const unmarkShardThreshold = 1 << 14
 
 func init() {
 	solver.Register(solver.Descriptor{
-		Algo:       solver.BL,
-		Name:       "bl",
+		Algo: solver.BL,
+		Name: "bl",
+		// Every stage builds a degree table, which enumerates edge
+		// subsets; wider instances are rejected before dispatch.
+		MaxDim:     hypergraph.MaxEnumerableDim,
 		AutoMaxDim: 5,
 		Solve: func(req solver.Request) (solver.Outcome, error) {
 			opts := DefaultOptions()

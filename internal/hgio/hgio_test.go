@@ -137,6 +137,63 @@ func TestReadBinaryErrors(t *testing.T) {
 	if _, err := ReadBinary(&buf); err == nil {
 		t.Fatal("implausible n accepted")
 	}
+	// Bytes after the declared edge list, on a canonical body (fast
+	// path) and on an unsorted one (Builder path).
+	for _, body := range [][]byte{
+		append(binaryBody(t, hypergraph.NewBuilder(4).AddEdge(0, 1).AddEdge(2, 3).MustBuild()), 0),
+		[]byte("HGB1\x04\x02\x02\x02\x01\x02\x00\x01\x07\x07"),
+	} {
+		if _, err := ReadBinary(bytes.NewReader(body)); err == nil || !strings.Contains(err.Error(), "2 declared edges") {
+			t.Fatalf("trailing bytes: got %v, want a trailing-bytes error", err)
+		}
+	}
+}
+
+func binaryBody(t testing.TB, h *hypergraph.Hypergraph) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, h); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestDecodeDigestMemo: a canonical body decodes with its own SHA-256
+// as the digest memo; a body the Builder had to canonicalize, and any
+// graph derived from a decoded one, carry none.
+func TestDecodeDigestMemo(t *testing.T) {
+	h := hypergraph.RandomMixed(rng.New(7), 300, 600, 2, 6)
+	body := binaryBody(t, h)
+	got, err := ReadBinary(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(body)
+	if got.DigestMemo() != hex.EncodeToString(sum[:]) || Digest(got) != Digest(h) {
+		t.Fatalf("canonical decode memo %q, want sha256 of the body %x", got.DigestMemo(), sum)
+	}
+	if !equalHypergraphs(got, h) {
+		t.Fatal("canonical decode changed the graph")
+	}
+	for name, d := range map[string]*hypergraph.Hypergraph{
+		"clone":   got.Clone(),
+		"induced": hypergraph.Induced(got, func(v hypergraph.V) bool { return v%2 == 0 }),
+	} {
+		if d.DigestMemo() != "" {
+			t.Errorf("%s inherited the digest memo", name)
+		}
+	}
+	// The same graph with its first two edges swapped: same digest,
+	// reached through the Builder.
+	swapped := hypergraph.NewBuilder(5).AddEdge(1, 2).AddEdge(0, 3).MustBuild()
+	unsorted := []byte("HGB1\x05\x02\x02\x01\x01\x02\x00\x03")
+	got, err = ReadBinary(bytes.NewReader(unsorted))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.DigestMemo() != "" || Digest(got) != Digest(swapped) || !equalHypergraphs(got, swapped) {
+		t.Fatalf("builder-path decode: memo %q, digest %s, want no memo and %s", got.DigestMemo(), Digest(got), Digest(swapped))
+	}
 }
 
 func TestBinarySmallerThanText(t *testing.T) {

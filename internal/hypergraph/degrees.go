@@ -21,9 +21,10 @@ import (
 // contain x. This is Θ(m·2^d) work, which is the regime BL operates in
 // (d ≤ log log n / (4 log log log n), so 2^d is polylogarithmic).
 
-// maxEnumerableDim bounds the edge size for subset enumeration; above
-// this, 2^d blows up and the degree table refuses to build.
-const maxEnumerableDim = 22
+// MaxEnumerableDim bounds the edge size for subset enumeration; above
+// this, 2^d blows up and the degree table refuses to build. Solvers
+// that build one (BL) declare it as their dimension limit.
+const MaxEnumerableDim = 22
 
 // subsetKey canonically encodes a sorted vertex set. It survives only
 // as the key of the brute-force reference DeltaDirect; the production
@@ -134,7 +135,7 @@ const buildShardThreshold = 1 << 15
 
 // BuildDegreeTable enumerates all edge subsets on the whole machine;
 // BuildDegreeTableOn takes an explicit engine. It panics if the
-// dimension exceeds maxEnumerableDim (callers control dimension: BL is
+// dimension exceeds MaxEnumerableDim (callers control dimension: BL is
 // only invoked on small-dimension hypergraphs, by construction in SBL).
 func BuildDegreeTable(h *Hypergraph) *DegreeTable {
 	return BuildDegreeTableOn(h, par.Engine{})
@@ -149,11 +150,11 @@ func BuildDegreeTable(h *Hypergraph) *DegreeTable {
 // vectors) are identical for any engine; only entry iteration order
 // can differ between shard counts.
 func BuildDegreeTableOn(h *Hypergraph, eng par.Engine) *DegreeTable {
-	if h.Dim() > maxEnumerableDim {
+	if h.Dim() > MaxEnumerableDim {
 		panic("hypergraph: dimension too large for degree enumeration")
 	}
 	m := len(h.edges)
-	perItem := 1 << uint(h.Dim()) // Dim ≤ maxEnumerableDim, checked above
+	perItem := 1 << uint(h.Dim()) // Dim ≤ MaxEnumerableDim, checked above
 	work := m * perItem
 	shards := eng.ShardsFor(m, perItem)
 	if shards <= 1 || work < buildShardThreshold {
@@ -315,7 +316,7 @@ func NjDirect(h *Hypergraph, x Edge, j int) int {
 // edges, independently of DegreeTable (including its hashing);
 // reference for property tests.
 func DeltaDirect(h *Hypergraph) float64 {
-	if h.Dim() > maxEnumerableDim {
+	if h.Dim() > MaxEnumerableDim {
 		panic("hypergraph: dimension too large")
 	}
 	seen := make(map[string]bool)

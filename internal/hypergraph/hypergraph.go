@@ -51,41 +51,62 @@ type Edge []V
 // Hypergraph is an immutable hypergraph on the vertex set {0, …, N-1}.
 // Edges are deduplicated, sorted subslices of one flat CSR vertex arena
 // (see the package comment for the layout). Construct via Builder or
-// the generator functions; algorithms never mutate a Hypergraph in
-// place.
+// the generator functions (decoders that have validated canonical form
+// use FromCanonicalCSR); algorithms never mutate a Hypergraph in place.
 type Hypergraph struct {
 	n     int
 	dim   int
 	verts []V     // CSR arena: all edges' vertices, back to back
 	off   []int32 // len(edges)+1; edge i is verts[off[i]:off[i+1]]
 	edges []Edge  // cached headers into verts, canonical order
+	// digest memoizes the instance digest (hgio.Digest) when the graph
+	// was decoded from its canonical encoding; "" otherwise. Set once by
+	// FromCanonicalCSR, before the graph is shared.
+	digest string
 }
+
+// setEdges derives the edge headers from a CSR arena — edges[i] is the
+// three-index subslice verts[off[i]:off[i+1]] — and returns the
+// dimension. Every constructor goes through it.
+func setEdges(edges []Edge, verts []V, off []int32) (dim int) {
+	for i := range edges {
+		edges[i] = verts[off[i]:off[i+1]:off[i+1]]
+		dim = max(dim, len(edges[i]))
+	}
+	return dim
+}
+
+// FromCanonicalCSR adopts a CSR arena the caller has already validated
+// as canonical: every edge nonempty, strictly increasing and inside
+// [0, n), the edge list strictly lex-increasing, off[0] = 0 and
+// off[len(off)-1] = len(verts). Nothing is re-checked or copied; the
+// Hypergraph takes ownership of verts and off. digest is the memo
+// hgio.Digest returns for the graph ("" = compute on demand); only a
+// decoder that hashed the graph's exact canonical encoding may set it.
+func FromCanonicalCSR(n int, verts []V, off []int32, digest string) *Hypergraph {
+	edges := make([]Edge, len(off)-1)
+	dim := setEdges(edges, verts, off)
+	return &Hypergraph{n: n, dim: dim, verts: verts, off: off, edges: edges, digest: digest}
+}
+
+// DigestMemo returns the digest FromCanonicalCSR recorded, or "".
+// Callers wanting the instance digest use hgio.Digest, which falls back
+// to encoding the graph.
+func (h *Hypergraph) DigestMemo() string { return h.digest }
 
 // packCanon copies an already-canonical edge list (each edge sorted and
 // strictly increasing, list lex-sorted and deduplicated) into a fresh
 // CSR arena. The input edges are only read.
 func packCanon(n int, canon []Edge) *Hypergraph {
-	total, dim := 0, 0
-	for _, e := range canon {
-		total += len(e)
-		if len(e) > dim {
-			dim = len(e)
-		}
-	}
-	verts := make([]V, total)
 	off := make([]int32, len(canon)+1)
-	edges := make([]Edge, len(canon))
-	pos := 0
 	for i, e := range canon {
-		off[i] = int32(pos)
-		copy(verts[pos:], e)
-		pos += len(e)
+		off[i+1] = off[i] + int32(len(e))
 	}
-	off[len(canon)] = int32(total)
-	for i := range edges {
-		edges[i] = verts[off[i]:off[i+1]:off[i+1]]
+	verts := make([]V, off[len(canon)])
+	for i, e := range canon {
+		copy(verts[off[i]:], e)
 	}
-	return &Hypergraph{n: n, dim: dim, verts: verts, off: off, edges: edges}
+	return FromCanonicalCSR(n, verts, off, "")
 }
 
 // NewBuilder returns a builder for a hypergraph on n vertices.
@@ -306,13 +327,7 @@ func (h *Hypergraph) String() string {
 // Clone returns a deep copy. Useful when callers need to hold onto a
 // hypergraph across mutating pipelines built from raw edge slices.
 func (h *Hypergraph) Clone() *Hypergraph {
-	verts := append([]V(nil), h.verts...)
-	off := append([]int32(nil), h.off...)
-	edges := make([]Edge, len(h.edges))
-	for i := range edges {
-		edges[i] = verts[off[i]:off[i+1]:off[i+1]]
-	}
-	return &Hypergraph{n: h.n, dim: h.dim, verts: verts, off: off, edges: edges}
+	return FromCanonicalCSR(h.n, append([]V(nil), h.verts...), append([]int32(nil), h.off...), "")
 }
 
 // ContainsSorted reports whether sorted edge e contains sorted subset x.

@@ -96,7 +96,7 @@ func Shrink(h *Hypergraph, drop func(V) bool) (*Hypergraph, int) {
 //
 // For enumerable dimensions the check is: e survives iff no proper
 // nonempty subset of e is an edge. That costs m·2^d set lookups, which
-// is the regime BL runs in. Beyond maxEnumerableDim a pairwise check is
+// is the regime BL runs in. Beyond MaxEnumerableDim a pairwise check is
 // used instead.
 func RemoveSupersets(h *Hypergraph) *Hypergraph {
 	return RemoveSupersetsOn(h, par.Engine{})
@@ -107,7 +107,7 @@ func RemoveSupersets(h *Hypergraph) *Hypergraph {
 // hashed edge index they probe is built once and read-only). The
 // result is identical for any engine.
 func RemoveSupersetsOn(h *Hypergraph, eng par.Engine) *Hypergraph {
-	if h.Dim() <= maxEnumerableDim {
+	if h.Dim() <= MaxEnumerableDim {
 		m := len(h.edges)
 		present := newEdgeIndex(m)
 		for i, e := range h.edges {

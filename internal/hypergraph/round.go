@@ -57,10 +57,8 @@ func (b *csrBuf) grow(nVerts, nEdges int) {
 
 // finish rebuilds the edge headers from off/verts and installs the
 // Hypergraph header.
-func (b *csrBuf) finish(n, dim int) *Hypergraph {
-	for i := range b.edges {
-		b.edges[i] = b.verts[b.off[i]:b.off[i+1]:b.off[i+1]]
-	}
+func (b *csrBuf) finish(n int) *Hypergraph {
+	dim := setEdges(b.edges, b.verts, b.off)
 	b.hg = Hypergraph{n: n, dim: dim, verts: b.verts, off: b.off, edges: b.edges}
 	return &b.hg
 }
@@ -90,8 +88,8 @@ type RoundScratch struct {
 	spill   []V     // reorder arena for the rare out-of-order repack
 	stage   edgeSorter
 
-	// Per-shard slot-assignment tallies (edges, verts, dim, emptied).
-	tallyE, tallyV, tallyD, tallyZ []int32
+	// Per-shard slot-assignment tallies (edges, verts, emptied).
+	tallyE, tallyV, tallyZ []int32
 }
 
 // Poison overwrites every arena the scratch has ever grown with
@@ -123,7 +121,7 @@ func (scr *RoundScratch) Poison() {
 	for i := range scr.spill {
 		scr.spill[i] = V(-1)
 	}
-	for _, t := range [][]int32{scr.tallyE, scr.tallyV, scr.tallyD, scr.tallyZ} {
+	for _, t := range [][]int32{scr.tallyE, scr.tallyV, scr.tallyZ} {
 		for i := range t {
 			t[i] = -7
 		}
@@ -167,16 +165,14 @@ func (scr *RoundScratch) growTallies(shards int) {
 	if cap(scr.tallyE) < shards {
 		scr.tallyE = make([]int32, shards)
 		scr.tallyV = make([]int32, shards)
-		scr.tallyD = make([]int32, shards)
 		scr.tallyZ = make([]int32, shards)
 		return
 	}
 	scr.tallyE = scr.tallyE[:shards]
 	scr.tallyV = scr.tallyV[:shards]
-	scr.tallyD = scr.tallyD[:shards]
 	scr.tallyZ = scr.tallyZ[:shards]
 	for i := 0; i < shards; i++ {
-		scr.tallyE[i], scr.tallyV[i], scr.tallyD[i], scr.tallyZ[i] = 0, 0, 0, 0
+		scr.tallyE[i], scr.tallyV[i], scr.tallyZ[i] = 0, 0, 0
 	}
 }
 
@@ -187,7 +183,7 @@ func (scr *RoundScratch) growTallies(shards int) {
 // the output shape. Large edge lists run as per-shard tallies plus an
 // exact prefix sum over the shards, which assigns the same slots as
 // the sequential scan for any worker count.
-func (scr *RoundScratch) assignSlots(m int) (outEdges, outVerts, dim, emptied int) {
+func (scr *RoundScratch) assignSlots(m int) (outEdges, outVerts, emptied int) {
 	keep, pos := scr.keep, scr.pos
 	shards := scr.Eng.NumShards(m)
 	if m < parallelScanThreshold || shards <= 1 {
@@ -205,16 +201,13 @@ func (scr *RoundScratch) assignSlots(m int) (outEdges, outVerts, dim, emptied in
 			pos[i] = int32(outVerts)
 			outEdges++
 			outVerts += int(k)
-			if int(k) > dim {
-				dim = int(k)
-			}
 		}
 		return
 	}
 	scr.growTallies(shards)
-	tE, tV, tD, tZ := scr.tallyE, scr.tallyV, scr.tallyD, scr.tallyZ
+	tE, tV, tZ := scr.tallyE, scr.tallyV, scr.tallyZ
 	scr.Eng.ForShards(nil, m, shards, func(s, lo, hi int) {
-		var e, v, d, z int32
+		var e, v, z int32
 		for i := lo; i < hi; i++ {
 			k := keep[i]
 			switch {
@@ -227,11 +220,8 @@ func (scr *RoundScratch) assignSlots(m int) (outEdges, outVerts, dim, emptied in
 			}
 			e++
 			v += k
-			if k > d {
-				d = k
-			}
 		}
-		tE[s], tV[s], tD[s], tZ[s] = e, v, d, z
+		tE[s], tV[s], tZ[s] = e, v, z
 	})
 	// Exact exclusive prefix over the shard tallies (shards are few).
 	var baseE, baseV int32
@@ -240,9 +230,6 @@ func (scr *RoundScratch) assignSlots(m int) (outEdges, outVerts, dim, emptied in
 		tE[s], tV[s] = baseE, baseV
 		baseE += e
 		baseV += v
-		if int(tD[s]) > dim {
-			dim = int(tD[s])
-		}
 		emptied += int(tZ[s])
 	}
 	outEdges, outVerts = int(baseE), int(baseV)
@@ -299,7 +286,7 @@ func InduceIntoBits(h *Hypergraph, in bitset.Set, scr *RoundScratch) *Hypergraph
 // InduceInto/InduceIntoBits.
 func (scr *RoundScratch) induceFinish(h *Hypergraph) *Hypergraph {
 	m := len(h.edges)
-	outEdges, outVerts, dim, _ := scr.assignSlots(m)
+	outEdges, outVerts, _ := scr.assignSlots(m)
 	dst := &scr.sample
 	dst.grow(outVerts, outEdges)
 	keep, pos := scr.keep, scr.pos
@@ -309,7 +296,7 @@ func (scr *RoundScratch) induceFinish(h *Hypergraph) *Hypergraph {
 		induceScatter(h, keep, pos, dst, 0, m)
 	}
 	dst.off[outEdges] = int32(outVerts)
-	return dst.finish(h.n, dim)
+	return dst.finish(h.n)
 }
 
 // induceClassify marks edges [lo, hi): keep[i] = the edge's size if it
@@ -401,7 +388,7 @@ func NextRoundBits(cur *Hypergraph, red, blue bitset.Set, scr *RoundScratch) (*H
 // allocates nothing.
 func (scr *RoundScratch) roundFinish(cur *Hypergraph, isBlue func(V) bool, blue bitset.Set) (*Hypergraph, int) {
 	m := len(cur.edges)
-	outEdges, outVerts, dim, emptied := scr.assignSlots(m)
+	outEdges, outVerts, emptied := scr.assignSlots(m)
 	dst := scr.target(cur)
 	dst.grow(outVerts, outEdges)
 	keep, pos := scr.keep, scr.pos
@@ -417,7 +404,7 @@ func (scr *RoundScratch) roundFinish(cur *Hypergraph, isBlue func(V) bool, blue 
 		roundScatter(cur, isBlue, keep, pos, dst, 0, m)
 	}
 	dst.off[outEdges] = int32(outVerts)
-	next := dst.finish(cur.n, dim)
+	next := dst.finish(cur.n)
 	// Shrinking can break the lexicographic edge order and create
 	// duplicate edges; detect in one comparison pass and
 	// re-canonicalize only then (blue-free rounds skip this entirely).
@@ -558,10 +545,5 @@ func (scr *RoundScratch) recanonicalize(dst *csrBuf) {
 	// arena becomes the next spill.
 	dst.verts, scr.spill = scr.spill, dst.verts
 	dst.edges = dst.edges[:w]
-	for i := range dst.edges {
-		dst.edges[i] = dst.verts[dst.off[i]:dst.off[i+1]:dst.off[i+1]]
-	}
-	dst.hg.verts = dst.verts
-	dst.hg.off = dst.off
-	dst.hg.edges = dst.edges
+	dst.finish(dst.hg.n)
 }

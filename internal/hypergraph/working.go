@@ -199,7 +199,7 @@ func (w *Working) integrate(e Edge) {
 	}
 	// A live subset of e dominates it. Only subsets of e can be edges;
 	// enumerate them when cheap, otherwise scan incidences.
-	if len(e) <= maxEnumerableDim {
+	if len(e) <= MaxEnumerableDim {
 		var scratch Edge
 		full := uint32(1)<<uint(len(e)) - 1
 		for mask := uint32(1); mask < full; mask++ {

@@ -156,14 +156,13 @@ type BatchItemResult struct {
 }
 
 // parseScratch holds the decode buffers one batch request reuses across
-// its items: the string/byte readers the hgio parsers consume and the
-// base64 scratch for binary payloads. The built Hypergraphs themselves
+// its items: the string reader the text parser consumes and the base64
+// scratch binary payloads decode from. The built Hypergraphs themselves
 // must be freshly allocated (they outlive parsing — jobs, cache entries
 // and responses hold them), so only the transient decoding state is
 // shared.
 type parseScratch struct {
 	sr  strings.Reader
-	br  bytes.Reader
 	b64 []byte
 }
 
@@ -186,8 +185,7 @@ func (ps *parseScratch) instance(it *BatchItem) (*hypermis.Hypergraph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("instance_b64: %w", err)
 		}
-		ps.br.Reset(ps.b64[:n])
-		h, err = hgio.ReadBinary(&ps.br)
+		h, err = hgio.DecodeBinary(ps.b64[:n])
 	default:
 		return nil, errors.New("missing instance (set instance or instance_b64)")
 	}

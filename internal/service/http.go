@@ -15,6 +15,7 @@ import (
 	hypermis "repro"
 	"repro/internal/admit"
 	"repro/internal/hgio"
+	"repro/internal/obs"
 )
 
 // Content types for instance payloads. Text is the default; anything
@@ -179,14 +180,25 @@ func wantsBinary(contentType string) bool {
 	return strings.Contains(contentType, "binary") || strings.Contains(contentType, "octet-stream")
 }
 
+// readInstanceBody decodes the request's instance under a "decode"
+// span. A binary body is read off the wire first, so the span times the
+// decode alone; the text parser streams, so its span includes the read.
 func readInstanceBody(r *http.Request) (*hypermis.Hypergraph, error) {
 	body := http.MaxBytesReader(nil, r.Body, maxBodyBytes)
+	tr := obs.From(r.Context())
 	var h *hypermis.Hypergraph
 	var err error
 	if wantsBinary(r.Header.Get("Content-Type")) {
-		h, err = hgio.ReadBinary(body)
+		err = hgio.ReadAll(body, func(b []byte) error {
+			sp := tr.StartSpan("decode")
+			defer sp.End()
+			h, err = hgio.DecodeBinary(b)
+			return err
+		})
 	} else {
+		sp := tr.StartSpan("decode")
 		h, err = hgio.ReadText(body)
+		sp.End()
 	}
 	if err != nil {
 		return nil, err

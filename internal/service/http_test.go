@@ -148,6 +148,36 @@ func TestHTTPSolveDeterministic(t *testing.T) {
 	}
 }
 
+// TestHTTPBLWideEdgeIs422: BL enumerates every edge's subsets, so an
+// edge wider than hypergraph.MaxEnumerableDim is outside its class. The
+// request must fail as a client error and leave the daemon serving,
+// not panic a scheduler worker.
+func TestHTTPBLWideEdgeIs422(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	var body strings.Builder
+	body.WriteString("hypergraph 26 1\n")
+	for v := range 26 {
+		fmt.Fprintf(&body, "%d ", v)
+	}
+	resp, err := http.Post(ts.URL+"/v1/solve?algo=bl", ContentTypeText, strings.NewReader(body.String()+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("BL on a 26-vertex edge: status %d (%s), want 422", resp.StatusCode, raw)
+	}
+	health, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	health.Body.Close()
+	if health.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the rejected solve: %d, want 200", health.StatusCode)
+	}
+}
+
 func TestHTTPSolveErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	post := func(query, body, ct string) int {
@@ -173,6 +203,10 @@ func TestHTTPSolveErrors(t *testing.T) {
 	}
 	if got := post("", "hypergraph 1 0\n", "method"); got != http.StatusOK {
 		t.Fatalf("unknown content type should default to text: %d", got)
+	}
+	// Bytes after a binary body's declared edge list are malformed.
+	if got := post("", "HGB1\x03\x01\x02\x00\x01\x00", ContentTypeBinary); got != http.StatusBadRequest {
+		t.Fatalf("trailing bytes: %d, want 400", got)
 	}
 	// A few bytes declaring billions of vertices must be rejected at the
 	// boundary, not allocated (memory-exhaustion guard) — on both the

@@ -172,9 +172,7 @@ func (s *Server) handleWork(w http.ResponseWriter, r *http.Request, kind WorkKin
 		return
 	}
 	defer cancelDeadline()
-	sp := tr.StartSpan("decode")
 	h, err := readInstanceBody(r)
-	sp.End()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "reading instance: %v", err)
 		return
@@ -186,7 +184,7 @@ func (s *Server) handleWork(w http.ResponseWriter, r *http.Request, kind WorkKin
 		return
 	}
 	elapsed := time.Since(start)
-	sp = tr.StartSpan("encode")
+	sp := tr.StartSpan("encode")
 	defer sp.End()
 	switch kind {
 	case WorkColor:
